@@ -137,8 +137,6 @@ let run_cmd source_file watches strategy opt check_aliases monitor_reads dump_as
       let code, output = Session.run ~fuel session in
       if output <> "" then Printf.printf "--- program output ---\n%s\n" output;
       Printf.printf "--- exited with %d ---\n" code;
-      (* Snapshot the profile now: the retroactive queries below roll
-         the machine's counters back and would skew the totals. *)
       let profile_rep =
         if profile then Some (Session.profile_report session) else None
       in
@@ -248,13 +246,12 @@ let run_cmd source_file watches strategy opt check_aliases monitor_reads dump_as
       | None -> ()
       | Some insn ->
         let re = Session.time_travel session ~insn in
-        let s = Session.stats session in
+        let cpu = session.Session.cpu in
         Printf.printf
           "--- travel to insn %d: re-executed %d instructions, now at pc \
            0x%x after %d instructions ---\n"
-          insn re
-          (Machine.Cpu.pc session.Session.cpu)
-          s.Machine.Cpu.instrs);
+          insn re (Machine.Cpu.pc cpu)
+          (Machine.Cpu.instr_count cpu));
       (* Exports come after the retroactive queries so the metrics and
          audit journal include the checkpoint/replay lifecycle they
          triggered.  All of them go through [export] for the shared

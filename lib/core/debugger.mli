@@ -55,7 +55,8 @@ val watch_local :
 val break_at :
   t -> string -> (breakpoint_event -> Machine.Cpu.t -> unit) -> unit
 (** Control breakpoint on a function entry (simulator breakpoint — the
-    baseline mechanism the paper contrasts data breakpoints with).
+    baseline mechanism the paper contrasts data breakpoints with).  Like
+    every callback, it fires on live execution only, never on replay.
     @raise No_such_variable for unknown functions. *)
 
 val break_count : t -> string -> int

@@ -45,7 +45,6 @@ type t = {
   (* Passive hit observers (heatmaps, tooling): all run after the
      user callback, never replace it. *)
   mutable observers : (hit -> unit) list;
-  patched : (int, unit) Hashtbl.t;  (* origins with inserted checks *)
   site_addr : (int, int) Hashtbl.t;     (* origin -> text address *)
   patch_addr : (int, int) Hashtbl.t;
   original : (int, Insn.t) Hashtbl.t;
@@ -78,14 +77,22 @@ let g6 = Reg.g 6
 
 let counters t = t.counters
 
+(* Host-side effects — counters, telemetry, audit, the user callback
+   and hit observers — belong to the live run: a replay re-executes it
+   and must not count it twice.  Effects on simulated state (cycle
+   charges, check patches, alias regions) happen in both epochs. *)
+let live t = not (Cpu.replaying t.cpu)
+
 (* --- telemetry glue ----------------------------------------------------------- *)
 
 let tel_incr t c =
-  match t.telemetry with Some tel -> Telemetry.incr tel c | None -> ()
+  match t.telemetry with
+  | Some tel when live t -> Telemetry.incr tel c
+  | Some _ | None -> ()
 
 (* --- audit glue ---------------------------------------------------------------- *)
 
-let aud t f = match t.audit with Some a -> f a | None -> ()
+let aud t f = match t.audit with Some a when live t -> f a | Some _ | None -> ()
 
 let aud_patch t kind ~why origin =
   aud t (fun a ->
@@ -275,30 +282,37 @@ let invalidate_caches t =
 
 (* --- patches (Kessler fast breakpoints, §4) ------------------------------------ *)
 
+(* [origin]'s site and the branch that patches its check in.  Whether the
+   check is in is read off the text, which a replay's rollback restores. *)
+let patch_of t origin =
+  match Hashtbl.find_opt t.site_addr origin, Hashtbl.find_opt t.patch_addr origin with
+  | Some site, Some patch ->
+    Some (site, Insn.Branch { cond = Cond.A; target = Insn.Abs patch })
+  | _, _ -> None
+
+let check_inserted t origin =
+  match patch_of t origin with
+  | Some (site, branch) -> Cpu.fetch_at t.cpu site = branch
+  | None -> false
+
 let insert_check ?(why = "") t origin =
-  if not (Hashtbl.mem t.patched origin) then begin
-    match Hashtbl.find_opt t.site_addr origin, Hashtbl.find_opt t.patch_addr origin with
-    | Some site, Some patch ->
-      Hashtbl.replace t.patched origin ();
+  match patch_of t origin with
+  | Some (site, branch) when Cpu.fetch_at t.cpu site <> branch ->
+    if live t then
       t.counters.patches_inserted <- t.counters.patches_inserted + 1;
-      tel_incr t Telemetry.Patches_inserted;
-      aud_patch t Audit.Patch_inserted ~why origin;
-      Cpu.patch t.cpu site (Insn.Branch { cond = Cond.A; target = Insn.Abs patch })
-    | _, _ -> ()
-  end
+    tel_incr t Telemetry.Patches_inserted;
+    aud_patch t Audit.Patch_inserted ~why origin;
+    Cpu.patch t.cpu site branch
+  | Some _ | None -> ()
 
 let remove_check ?(why = "") t origin =
-  if Hashtbl.mem t.patched origin then begin
+  if check_inserted t origin then
     match Hashtbl.find_opt t.site_addr origin, Hashtbl.find_opt t.original origin with
     | Some site, Some insn ->
-      Hashtbl.remove t.patched origin;
       tel_incr t Telemetry.Patches_removed;
       aud_patch t Audit.Patch_removed ~why origin;
       Cpu.patch t.cpu site insn
     | _, _ -> ()
-  end
-
-let check_inserted t origin = Hashtbl.mem t.patched origin
 
 (* Snapshot gauges: occupancy numbers whose current value (not a sum of
    bumps) is the interesting quantity; written unconditionally at report
@@ -373,7 +387,7 @@ let on_hit ?(access = Write) t cpu =
     if Cpu.get cpu (Reg.g 7) <> 0 then Cpu.get cpu Reg.i7 else Cpu.pc cpu - 4
   in
   match Region.find_containing t.regions addr with
-  | Some ({ Region.kind = Region.User; _ } as region) ->
+  | Some ({ Region.kind = Region.User; _ } as region) when live t ->
     t.counters.user_hits <- t.counters.user_hits + 1;
     if access = Read then t.counters.read_hits <- t.counters.read_hits + 1;
     tel_incr t Telemetry.User_hits;
@@ -383,9 +397,11 @@ let on_hit ?(access = Write) t cpu =
     (match t.callback with Some f -> f h | None -> ());
     List.iter (fun f -> f h) t.observers
   | Some ({ Region.kind = Region.Internal; _ } as region) ->
-    t.counters.internal_hits <- t.counters.internal_hits + 1;
-    tel_incr t Telemetry.Internal_hits;
-    tel_hit t cpu ~access ~addr ~pc (Some region);
+    if live t then begin
+      t.counters.internal_hits <- t.counters.internal_hits + 1;
+      tel_incr t Telemetry.Internal_hits;
+      tel_hit t cpu ~access ~addr ~pc (Some region)
+    end;
     (* An alias home changed: conservatively re-insert every check the
        region was protecting. *)
     Hashtbl.iter
@@ -400,18 +416,20 @@ let on_hit ?(access = Write) t cpu =
             (insert_check ~why:("alias:" ^ string_of_int p.loop_id) t)
             p.eliminated)
       t.loops
-  | None ->
-    (* Stale bitmap bit cannot happen: bits are only set by regions. *)
+  | Some _ | None ->
+    (* A replayed user hit reports nothing; a stale bitmap bit cannot
+       happen: bits are only set by regions. *)
     ()
 
 let loop_of_trap t cpu = Hashtbl.find_opt t.loops (Word.to_unsigned (Cpu.get cpu (Reg.g 5)))
 
 let on_loop_entry t cpu =
-  t.counters.loop_entries <- t.counters.loop_entries + 1;
-  tel_incr t Telemetry.Loop_entries;
-  (let id = Word.to_unsigned (Cpu.get cpu (Reg.g 5)) in
-   Hashtbl.replace t.entries_by_loop id
-     (1 + Option.value ~default:0 (Hashtbl.find_opt t.entries_by_loop id)));
+  if live t then begin
+    t.counters.loop_entries <- t.counters.loop_entries + 1;
+    tel_incr t Telemetry.Loop_entries;
+    let id = Word.to_unsigned (Cpu.get cpu (Reg.g 5)) in
+    Hashtbl.replace t.entries_by_loop id (1 + loop_entry_count t id)
+  end;
   (* Model the pre-header check as inline code rather than a full trap:
      refund the trap cost beyond the modelled check cost. *)
   match loop_of_trap t cpu with
@@ -439,7 +457,7 @@ let on_loop_entry t cpu =
         plan.checks
     in
     if triggered then begin
-      t.counters.loop_triggers <- t.counters.loop_triggers + 1;
+      if live t then t.counters.loop_triggers <- t.counters.loop_triggers + 1;
       tel_incr t Telemetry.Loop_triggers;
       List.iter
         (insert_check ~why:("loop:" ^ string_of_int plan.loop_id) t)
@@ -488,10 +506,9 @@ let on_loop_exit t cpu =
     | None -> ());
     Cpu.add_cycles cpu (4 - (Cpu.config cpu).Cpu.trap_cycles)
 
-let on_violation t cpu =
-  t.counters.violations <- t.counters.violations + 1;
-  tel_incr t Telemetry.Violations;
-  ignore cpu
+let on_violation t _cpu =
+  if live t then t.counters.violations <- t.counters.violations + 1;
+  tel_incr t Telemetry.Violations
 
 (* --- installation -------------------------------------------------------------------- *)
 
@@ -509,7 +526,6 @@ let install ?(protect_self = false) ?telemetry ?audit ~(plan : Instrument.t)
       enabled = false;
       callback = None;
       observers = [];
-      patched = Hashtbl.create 64;
       site_addr = Hashtbl.create 256;
       patch_addr = Hashtbl.create 64;
       original = Hashtbl.create 64;

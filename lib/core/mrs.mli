@@ -72,7 +72,11 @@ val delete_region : ?why:string -> t -> Region.t -> unit
 val regions : t -> Region.set
 
 val set_callback : t -> (hit -> unit) -> unit
-(** The NotificationCallBack; fired for every hit on a [User] region. *)
+(** The NotificationCallBack; fired for every live hit on a [User]
+    region.  Like the counters, telemetry, audit events and hit
+    observers, it is live-only: a replay (see
+    {!Machine.Cpu.replaying}) re-executes the hit's trap for its
+    simulated effects but reports nothing. *)
 
 val add_hit_observer : t -> (hit -> unit) -> unit
 (** Register a passive observer (heatmaps, tooling) fired for every
@@ -98,6 +102,7 @@ val remove_check : ?why:string -> t -> int -> unit
 val check_inserted : t -> int -> bool
 
 val counters : t -> counters
+(** Counts of the live run only; replays add nothing. *)
 
 val reset_counters : counters -> unit
 (** Zero every field — for reusing a session across measurement

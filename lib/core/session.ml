@@ -28,8 +28,6 @@ type t = {
   heatmap : Heatmap.t option;  (* present iff [~heatmap:true] *)
   on_sample : (int -> unit) ref;
       (* extra per-sample callback (scrape-server polling) *)
-  observers_live : bool ref;
-      (* heatmap recording gate; lowered around replay re-execution *)
 }
 
 let site_kind_of_status = function
@@ -227,10 +225,8 @@ let create ?config ?(options = Instrument.default_options) ?(protect_mrs = false
   (* Address-space heatmap: a store hook paints per-page write density
      (plus check density where the store's pc is a site or patch-stub
      label — the same pc → site identification the oracle uses), and an
-     MRS hit observer paints hit density.  The [observers_live] gate is
-     lowered around replay re-execution so replayed stores are not
-     double-counted. *)
-  let observers_live = ref true in
+     MRS hit observer paints hit density.  Both are live-only, so
+     replayed stores are never painted twice. *)
   let heatmap =
     if not heatmap then None
     else begin
@@ -255,16 +251,14 @@ let create ?config ?(options = Instrument.default_options) ?(protect_mrs = false
         end
       in
       Cpu.set_store_hook cpu (fun cpu ~addr ~width:_ ->
-          if !observers_live then begin
-            Heatmap.record_write hm addr;
-            let pc = Cpu.pc cpu in
-            if
-              pc >= check_lo && pc <= check_hi
-              && Bytes.unsafe_get check_bm ((pc - check_lo) lsr 2) <> '\000'
-            then Heatmap.record_check hm addr
-          end);
+          Heatmap.record_write hm addr;
+          let pc = Cpu.pc cpu in
+          if
+            pc >= check_lo && pc <= check_hi
+            && Bytes.unsafe_get check_bm ((pc - check_lo) lsr 2) <> '\000'
+          then Heatmap.record_check hm addr);
       Mrs.add_hit_observer mrs (fun (h : Mrs.hit) ->
-          if !observers_live then Heatmap.record_hit hm h.Mrs.addr);
+          Heatmap.record_hit hm h.Mrs.addr);
       Some hm
     end
   in
@@ -322,7 +316,6 @@ let create ?config ?(options = Instrument.default_options) ?(protect_mrs = false
     timeseries;
     heatmap;
     on_sample;
-    observers_live;
   }
 
 let site_executions t origin =
@@ -410,14 +403,28 @@ let install_oracle t =
         end)
   end
 
-let run ?fuel t =
-  let code =
-    Trace.with_span t.trace "run" (fun () ->
-        match t.replay with
-        | None -> Cpu.run ?fuel t.cpu
-        | Some r -> Replay.record ?fuel r)
-  in
+(* The live run's stats: once a recording has halted, its capture —
+   travels and queries move the machine, not the run. *)
+let stats t =
+  match Option.bind t.replay Replay.end_stats with
+  | Some s -> s
+  | None -> Cpu.stats t.cpu
+
+(* At the live halt, close the sample ring: its last entry is then the
+   end-of-run counter values, before any query adds replay cost
+   (idempotent — [sample] ignores non-increasing instruction counts). *)
+let exited t code =
+  (match t.timeseries with
+  | Some ts -> Timeseries.finalize ts ~insn:(stats t).Cpu.instrs
+  | None -> ());
   (code, Cpu.output t.cpu)
+
+let run ?fuel t =
+  exited t
+    (Trace.with_span t.trace "run" (fun () ->
+         match t.replay with
+         | None -> Cpu.run ?fuel t.cpu
+         | Some r -> Replay.record ?fuel r))
 
 (* Fuel-bounded, resumable execution — the service daemon's `run` verb.
    Each slice advances by at most [fuel] instructions so a scheduler
@@ -430,16 +437,16 @@ let run ?fuel t =
    depend on the slice quantum); the daemon brackets its own spans. *)
 let run_slice ?fuel t =
   match Cpu.halted t.cpu with
-  | Some code -> `Exited (code, Cpu.output t.cpu)
+  | Some code -> `Exited (exited t code)
   | None -> (
     match t.replay with
     | None -> (
       match Cpu.run ?fuel t.cpu with
-      | code -> `Exited (code, Cpu.output t.cpu)
+      | code -> `Exited (exited t code)
       | exception Cpu.Out_of_fuel { executed } -> `Running executed)
     | Some r -> (
       match Replay.record_slice ?fuel r with
-      | `Exited code -> `Exited (code, Cpu.output t.cpu)
+      | `Exited code -> `Exited (exited t code)
       | `Out_of_fuel executed -> `Running executed))
 
 (* --- time travel ------------------------------------------------------ *)
@@ -463,38 +470,17 @@ type write_record = {
 let enrich t (h : Replay.hit) =
   { wr_hit = h; wr_write_type = Hashtbl.find_opt t.store_pc_type h.Replay.h_pc }
 
-(* Replay queries roll the machine back and re-execute recorded
-   instructions; pausing the profiler, the time-series sampler and the
-   heatmap hooks around them keeps the replayed steps from being
-   double-counted into their arrays (and keeps rolled-back instruction
-   counts from producing phantom samples). *)
-let without_observers t f =
-  let prof = t.profiler <> None && Cpu.profile_enabled t.cpu in
-  let samp = t.timeseries <> None && Cpu.sample_enabled t.cpu in
-  let live = !(t.observers_live) in
-  if prof then Cpu.profile_set_enabled t.cpu false;
-  if samp then Cpu.sample_set_enabled t.cpu false;
-  t.observers_live := false;
-  Fun.protect
-    ~finally:(fun () ->
-      if prof then Cpu.profile_set_enabled t.cpu true;
-      if samp then Cpu.sample_set_enabled t.cpu true;
-      t.observers_live := live)
-    f
-
 let last_write ?guard t ~addr =
   let r = require_replay t "Session.last_write" in
-  without_observers t (fun () ->
-      Option.map (enrich t) (Replay.last_write_word ?guard r ~addr))
+  Option.map (enrich t) (Replay.last_write_word ?guard r ~addr)
 
 let write_history ?guard t ~lo ~hi =
   let r = require_replay t "Session.write_history" in
-  without_observers t (fun () ->
-      List.map (enrich t) (Replay.write_history ?guard r ~lo ~hi))
+  List.map (enrich t) (Replay.write_history ?guard r ~lo ~hi)
 
 let time_travel ?guard t ~insn =
   let r = require_replay t "Session.time_travel" in
-  without_observers t (fun () -> Replay.travel ?guard r ~insn)
+  Replay.travel ?guard r ~insn
 
 (* Resolve a CLI watch target to an address: a 0x-hex or decimal
    numeral, or a global variable name from the symbol table. *)
@@ -521,11 +507,10 @@ let missed_hits t =
   let actual = (Mrs.counters t.mrs).Mrs.user_hits in
   max 0 (List.length t.expected_hits - actual)
 
-let stats t = Cpu.stats t.cpu
-
 let report t =
   (* Fold in the snapshot gauges and interpreter dispatch counts before
      freezing: these are current-value reads, not bump streams. *)
+  let s = stats t in
   Mrs.record_gauges t.mrs;
   Telemetry.set t.telemetry Telemetry.Probe_dispatches
     (Cpu.probe_dispatches t.cpu);
@@ -533,28 +518,13 @@ let report t =
     (Cpu.store_hook_dispatches t.cpu);
   Telemetry.set t.telemetry Telemetry.Load_hook_dispatches
     (Cpu.load_hook_dispatches t.cpu);
-  Telemetry.set t.telemetry Telemetry.Trap_dispatches (Cpu.trap_count t.cpu);
-  (* Monotonic, like the sample-ring finalize below: replay queries
-     roll the machine's stats back, but the end-of-run store total is
-     what the heatmap's per-page write counts conserve against. *)
-  Telemetry.set t.telemetry Telemetry.Store_execs
-    (max
-       (Telemetry.get t.telemetry Telemetry.Store_execs)
-       (Cpu.stats t.cpu).Cpu.stores);
+  Telemetry.set t.telemetry Telemetry.Trap_dispatches s.Cpu.traps;
+  Telemetry.set t.telemetry Telemetry.Store_execs s.Cpu.stores;
   (match t.profiler with
   | Some p ->
-    (* The exec-array sum, not [instr_count]: replay queries run with
-       the profiler paused, so the two legitimately differ. *)
     Telemetry.set t.telemetry Telemetry.Profiled_instrs
       (Profile.profiled_instrs p);
     Telemetry.set t.telemetry Telemetry.Prof_transfers (Profile.transfers p)
-  | None -> ());
-  (* Close the sample ring: the final sample makes the last ring entry
-     equal the end-of-run counter values (idempotent — [sample] ignores
-     non-increasing instruction counts, so repeated reports and
-     post-travel rollbacks add nothing). *)
-  (match t.timeseries with
-  | Some ts -> Timeseries.finalize ts ~insn:(Cpu.instr_count t.cpu)
   | None -> ());
   Telemetry.report t.telemetry
 
@@ -589,5 +559,5 @@ let profile_report t =
           | None -> None)
         t.plan.Instrument.sites
     in
-    Profile.report p ~site_checks ~instrs:(Cpu.instr_count t.cpu)
-      ~cycles:(Cpu.cycle_count t.cpu) ()
+    let s = stats t in
+    Profile.report p ~site_checks ~instrs:s.Cpu.instrs ~cycles:s.Cpu.cycles ()

@@ -27,8 +27,6 @@ type t = {
       (** address-space heatmap, present iff [heatmap] was given *)
   on_sample : (int -> unit) ref;
       (** extra per-sample callback — see {!set_on_sample} *)
-  observers_live : bool ref;
-      (** heatmap recording gate, lowered around replay re-execution *)
 }
 
 val create :
@@ -77,8 +75,7 @@ val create :
     bumps the per-instruction exec/taken arrays inline, and call/return
     transfers maintain the shadow call stack — read the result with
     {!profile_report} (or the [profiler] field for folded/Perfetto
-    exports).  Replay queries pause it, so replayed instructions are
-    never double-counted.  [profile_clock] timestamps its Perfetto
+    exports).  [profile_clock] timestamps its Perfetto
     counter samples (pass [Unix.gettimeofday]; default: a constant).
 
     [sample_every] arms the time-series sampler: every N executed
@@ -88,13 +85,17 @@ val create :
     read them from {!report}'s [r_samples] or via {!Timeseries}'s
     exports.  [sample_clock] timestamps the sampler's Perfetto counter
     tracks only (default: a constant; samples themselves never carry
-    wall-clock time).  Replay queries pause the sampler.
+    wall-clock time).
 
     [heatmap] (default false) attaches the address-space heatmap: a
     store hook paints per-page write/check density and an MRS observer
     paints hit density — render with the [heatmap] field's
     {!Heatmap.to_text}/[to_json_string]/[to_ppm] after calling
-    {!heatmap_sync_regions}.  Replay queries pause heatmap recording.
+    {!heatmap_sync_regions}.
+
+    Every observer above sees live execution only: queries re-execute
+    in the replay epoch ({!Machine.Cpu.replaying}), whose cost lands
+    only in the [restores] and [replayed_instrs] counters.
     @raise Failure if the instrumented program fails to assemble.
     @raise Minic.Compile.Error on compilation errors. *)
 
@@ -163,6 +164,9 @@ val install_oracle : t -> unit
 val missed_hits : t -> int
 
 val stats : t -> Machine.Cpu.stats
+(** The live run's stats: the machine's own while it runs, the capture
+    taken at the recorded halt once a journaled run has finished —
+    travels and queries, which move the machine, do not change it. *)
 
 val report : t -> Telemetry.report
 (** Freeze the session's registry into a report, first folding in the
@@ -184,8 +188,7 @@ val heatmap_sync_regions : t -> unit
     never fired).  Call before rendering; no-op without [heatmap]. *)
 
 val profile_report : t -> Profile.report
-(** Freeze the profiler at the machine's current instruction/cycle
-    totals, joining per-block MRS check density from the telemetry
-    per-site exec arrays.  Take it right after {!run}: replay queries
-    roll the machine's counters back and would skew the totals.
+(** Freeze the profiler at the live run's instruction/cycle totals
+    ({!stats}), joining per-block MRS check density from the telemetry
+    per-site exec arrays.
     @raise Invalid_argument on a session created without [profile]. *)

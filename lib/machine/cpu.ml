@@ -65,13 +65,18 @@ type t = {
   out : Buffer.t;
   mutable brk : int;
   config : config;
-  (* Store/load observers as dense counted arrays (amortized O(1)
-     registration, order-preserving).  [nstore_hooks = 0] is the
-     has-no-hooks fast-path test paid on every memory operation. *)
+  (* Store/load observers in registration order.  [nstore_hooks] and
+     [nload_hooks] count the observers the current epoch dispatches (see
+     [replaying]), so [nstore_hooks = 0] stays the one has-no-hooks
+     fast-path test paid on every memory operation. *)
   mutable store_hooks : (t -> addr:int -> width:Insn.width -> unit) array;
   mutable nstore_hooks : int;
   mutable load_hooks : (t -> addr:int -> width:Insn.width -> unit) array;
   mutable nload_hooks : int;
+  (* The execution epoch: while [replaying], no observer runs except
+     [replay_hook] on stores, which no dispatch counter counts. *)
+  mutable replaying : bool;
+  mutable replay_hook : t -> addr:int -> width:Insn.width -> unit;
   (* Pre-decoded instruction closures, parallel to [text]: slot [i] is a
      specialized [t -> unit] compiled from [text.(i)] with the operand
      shape (register vs immediate), access width, cc flag and
@@ -94,8 +99,8 @@ type t = {
      [profile_install] seeds the bits and [patch]/[rollback] keep them
      in sync with text.  Like the dispatch counters, none of this
      touches {!stats} — the differential fuzz harness's fast/generic
-     parity is preserved, and a profiler-off run pays exactly one
-     boolean test per step. *)
+     parity is preserved, and a profiler-off (or replaying) run pays
+     exactly one boolean test per step. *)
   mutable prof_on : bool;
   mutable prof_exec : int array;
   mutable prof_taken : int array;
@@ -177,6 +182,22 @@ let fetch_at t addr = t.text.(text_index t addr)
 
 let add_cycles t n = t.cycles <- t.cycles + n
 
+(* Recompute the observer gates from what is installed and the epoch. *)
+let refresh_observers t =
+  let live = not t.replaying in
+  t.prof_on <- live && Array.length t.prof_exec > 0;
+  t.samp_on <- live && t.samp_every > 0;
+  t.nstore_hooks <- (if live then Array.length t.store_hooks else 1);
+  t.nload_hooks <- (if live then Array.length t.load_hooks else 0)
+
+let replaying t = t.replaying
+
+let set_replaying t on =
+  t.replaying <- on;
+  refresh_observers t
+
+let set_replay_hook t hook = t.replay_hook <- hook
+
 (* ---------- profiling hooks ---------- *)
 
 (* Classify one instruction for the profiler: (kind, static target
@@ -212,28 +233,14 @@ let profile_install t ~exec ~taken ~transfer =
       exec.(i) <- (exec.(i) land lnot 3) lor fst (prof_classify t i insn))
     t.text;
   t.prof_transfer <- transfer;
-  t.prof_on <- true
-
-let profile_enabled t = t.prof_on
-
-let profile_set_enabled t on =
-  if on && Array.length t.prof_exec = 0 then
-    invalid_arg "Cpu.profile_set_enabled: no profiler installed";
-  t.prof_on <- on
+  refresh_observers t
 
 let sample_install t ~every ~hook =
   if every < 1 then invalid_arg "Cpu.sample_install: every must be >= 1";
   t.samp_every <- every;
   t.samp_left <- every;
   t.samp_hook <- hook;
-  t.samp_on <- true
-
-let sample_enabled t = t.samp_on
-
-let sample_set_enabled t on =
-  if on && t.samp_every = 0 then
-    invalid_arg "Cpu.sample_set_enabled: no sampler installed";
-  t.samp_on <- on
+  refresh_observers t
 
 (* Post-step sampler countdown; fires the hook on every [samp_every]th
    executed instruction. *)
@@ -350,11 +357,14 @@ let pair_reg t rd =
 let double_align t ea = if ea land 7 <> 0 then faultf t "misaligned double access 0x%x" ea
 
 let run_store_hooks t ea width =
-  let hs = t.store_hooks in
-  t.nstore_hook_dispatches <- t.nstore_hook_dispatches + t.nstore_hooks;
-  for i = 0 to t.nstore_hooks - 1 do
-    (Array.unsafe_get hs i) t ~addr:ea ~width
-  done
+  if t.replaying then t.replay_hook t ~addr:ea ~width
+  else begin
+    let hs = t.store_hooks in
+    t.nstore_hook_dispatches <- t.nstore_hook_dispatches + t.nstore_hooks;
+    for i = 0 to t.nstore_hooks - 1 do
+      (Array.unsafe_get hs i) t ~addr:ea ~width
+    done
+  end
 
 let run_load_hooks t ea width =
   let hs = t.load_hooks in
@@ -781,6 +791,8 @@ let create ?(config = default_config) (image : Assembler.image) =
       nstore_hooks = 0;
       load_hooks = [||];
       nload_hooks = 0;
+      replaying = false;
+      replay_hook = (fun _ ~addr:_ ~width:_ -> ());
       code = Array.mapi (compile image.text_base) text;
       text_version = 0;
       text_snap = None;
@@ -812,7 +824,7 @@ let step t =
   if off land 3 <> 0 || idx >= Array.length t.text then
     faultf t "pc 0x%x outside text" (Word.to_unsigned t.pc);
   let ps = Array.unsafe_get t.probes idx in
-  if ps == no_probes then begin
+  if ps == no_probes || t.replaying then begin
     if not (cache_access t t.pc) then add_cycles t t.config.miss_penalty;
     t.ninstrs <- t.ninstrs + 1;
     add_cycles t 1;
@@ -1020,25 +1032,13 @@ let set_pc t pc = t.pc <- pc
 let brk t = t.brk
 let halted t = t.halted
 
-let push_hook arr n hook =
-  let cap = Array.length arr in
-  if n < cap then begin
-    arr.(n) <- hook;
-    arr
-  end
-  else begin
-    let bigger = Array.make (max 4 (2 * cap)) hook in
-    Array.blit arr 0 bigger 0 n;
-    bigger
-  end
-
 let set_store_hook t hook =
-  t.store_hooks <- push_hook t.store_hooks t.nstore_hooks hook;
-  t.nstore_hooks <- t.nstore_hooks + 1
+  t.store_hooks <- Array.append t.store_hooks [| hook |];
+  refresh_observers t
 
 let set_load_hook t hook =
-  t.load_hooks <- push_hook t.load_hooks t.nload_hooks hook;
-  t.nload_hooks <- t.nload_hooks + 1
+  t.load_hooks <- Array.append t.load_hooks [| hook |];
+  refresh_observers t
 
 type stats = {
   instrs : int;

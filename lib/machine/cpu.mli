@@ -58,13 +58,14 @@ val install_basic_services : t -> unit
 (** Traps 0-3: exit, print-int, print-char, sbrk. *)
 
 val add_probe : t -> int -> (t -> unit) -> unit
-(** Run a zero-cost observer just before each execution of the
+(** Run a zero-cost observer just before each live execution of the
     instruction at [addr] — used by the benchmark harness to count
     events (e.g. segment-cache hits) without perturbing the simulation.
-    Probes at the same address fire in registration order.  Probes live
-    in a direct-indexed table parallel to the text segment, so the
-    per-instruction cost when no probe is registered is a single array
-    read. @raise Fault if [addr] is outside text. *)
+    Probes at the same address fire in registration order; while
+    {!replaying} none fires and the slot runs its pre-decoded closure.
+    Probes live in a direct-indexed table parallel to the text segment,
+    so the per-instruction cost when no probe is registered is a single
+    array read. @raise Fault if [addr] is outside text. *)
 
 val output : t -> string
 (** Everything the program printed via the print traps. *)
@@ -96,15 +97,30 @@ val set_pc : t -> int -> unit
 val brk : t -> int
 val halted : t -> int option
 val set_store_hook : t -> (t -> addr:int -> width:Sparc.Insn.width -> unit) -> unit
-(** Register an observer invoked after every executed store with its
-    effective address (the test oracle; the hardware-watchpoint
+(** Register an observer invoked after every live executed store with
+    its effective address (the test oracle; the hardware-watchpoint
     strategy).  Hooks compose: each registered hook runs in
-    registration order.  Registration is amortized O(1) (hooks live in
-    a counted array), and a zero-hook machine pays only one integer
-    test per memory operation. *)
+    registration order.  None runs while {!replaying}.  A zero-hook
+    machine pays only one integer test per memory operation. *)
 
 val set_load_hook : t -> (t -> addr:int -> width:Sparc.Insn.width -> unit) -> unit
 (** Same for loads (the read-monitoring oracle). *)
+
+(** {2 Execution epoch}
+
+    A machine is live or replaying recorded instructions; the replay
+    engine raises the epoch around its re-execution loop.  While
+    replaying no observer runs — no probe, hook, profiler or sampler —
+    and the dispatch counters stay still; trap handlers, which are
+    simulated semantics, still run. *)
+
+val replaying : t -> bool
+val set_replaying : t -> bool -> unit
+
+val set_replay_hook :
+  t -> (t -> addr:int -> width:Sparc.Insn.width -> unit) -> unit
+(** Set the replay epoch's one store observer (the replay watch); it
+    runs after every store executed while {!replaying}. *)
 
 type checkpoint
 
@@ -170,10 +186,11 @@ val cycle_count : t -> int
 (** Simulated cycles so far ([(stats t).cycles] without the record). *)
 
 val probe_dispatches : t -> int
-(** Total probe invocations (slow-path steps count each probe fired). *)
+(** Total probe invocations (slow-path steps count each probe fired).
+    Live-only, like the hook counts: the replay epoch adds nothing. *)
 
 val store_hook_dispatches : t -> int
-(** Total store-hook invocations across all executed stores. *)
+(** Total store-hook invocations across all live executed stores. *)
 
 val load_hook_dispatches : t -> int
 
@@ -188,7 +205,7 @@ val trap_count : t -> int
     fires a closure on calls and returns.  Gated exactly like the
     dispatch counters: none of it is part of {!stats} (fast/generic
     differential parity is preserved), and with no profiler installed —
-    or the profiler disabled — every step pays one boolean test. *)
+    or while {!replaying} — every step pays one boolean test. *)
 
 val profile_static : t -> (int * int) array
 (** Per-slot [(kind, static target slot or -1)] classification of the
@@ -203,16 +220,8 @@ val profile_install :
     {!Profile.exec_array}/{!Profile.taken_array}) and the call/return
     callback [transfer kind slot], fired after the transfer executed —
     read the destination from {!pc} and totals from
-    {!instr_count}/{!cycle_count}.  Enables profiling.
+    {!instr_count}/{!cycle_count}.  Enables profiling of live steps.
     @raise Invalid_argument if an array is shorter than text. *)
-
-val profile_enabled : t -> bool
-
-val profile_set_enabled : t -> bool -> unit
-(** Pause/resume a previously installed profiler — the replay layer
-    pauses it around rollback/re-execution so replayed instructions are
-    not double-counted.  @raise Invalid_argument when enabling with no
-    profiler installed. *)
 
 (** {1 Time-series sampler hook}
 
@@ -220,16 +229,9 @@ val profile_set_enabled : t -> bool -> unit
     executed instructions that fires a closure every [every]th step
     with the live instruction count.  Same gating discipline as the
     profiler — never part of {!stats}, and with no sampler installed
-    (or the sampler paused) every step pays one boolean test. *)
+    (or while {!replaying}) every step pays one boolean test. *)
 
 val sample_install : t -> every:int -> hook:(int -> unit) -> unit
-(** Arm the sampler: [hook insn] fires after every [every]th executed
-    instruction.  @raise Invalid_argument when [every < 1]. *)
-
-val sample_enabled : t -> bool
-
-val sample_set_enabled : t -> bool -> unit
-(** Pause/resume a previously installed sampler — the replay layer
-    pauses it around rollback/re-execution so replayed instructions do
-    not produce phantom samples.  @raise Invalid_argument when enabling
-    with no sampler installed. *)
+(** Arm the sampler: [hook insn] fires after every [every]th live
+    executed instruction; replayed instructions neither fire it nor
+    advance its countdown.  @raise Invalid_argument when [every < 1]. *)

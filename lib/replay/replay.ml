@@ -5,14 +5,15 @@ open Machine
    instruction-count interval, then answer retroactive queries by
    restoring the nearest checkpoint and re-executing.
 
-   The watchpoint used during re-execution is *host-side*: a store
-   hook that observes effective addresses after each store, exactly
-   like the hardware-watchpoint strategy's oracle.  Nothing is written
-   into simulated memory and no trap instruction runs, so the replayed
-   program's architectural outcome is byte-identical whether or not a
-   watch is armed (Price's virtual-breakpoint invisibility property) —
-   which is precisely what lets the determinism guard hold during
-   queries. *)
+   Re-execution runs in the machine's replay epoch ([exec_to] is the
+   only place that raises it), where no observer of the live run fires.
+   The watchpoint used there is the epoch's *host-side* store hook,
+   exactly like the hardware-watchpoint strategy's oracle: nothing is
+   written into simulated memory and no trap instruction runs, so the
+   replayed program's architectural outcome is byte-identical whether
+   or not a watch is armed (Price's virtual-breakpoint invisibility
+   property) — which is precisely what lets the determinism guard hold
+   during queries. *)
 
 type hit = {
   h_insn : int;  (* instruction count including the store *)
@@ -36,16 +37,14 @@ type t = {
   audit : Audit.t;
   digests : bool;
   mutable seq : int;
-  mutable end_insn : int;
-  mutable exit_code : int option;
-  mutable recorded : bool;
+  mutable ended : (int * Cpu.stats) option;
+      (* exit code and the live run's stats at its recorded halt *)
   (* Incremental-recording frontier ({!record_slice}): whether the
      initial checkpoint was taken, and the instruction count at which
      the next interval checkpoint is due. *)
   mutable started : bool;
   mutable next_boundary : int;
-  (* Watch state shared with the store hook installed at [create]
-     (hooks are append-only, so one hook with an [armed] flag). *)
+  (* Watch state read by the replay hook installed at [create]. *)
   mutable armed : bool;
   mutable watch_lo : int;
   mutable watch_hi : int;  (* exclusive *)
@@ -80,9 +79,7 @@ let create ?telemetry ?audit ?budget_bytes ?(digests = true)
       audit;
       digests;
       seq = 0;
-      end_insn = 0;
-      exit_code = None;
-      recorded = false;
+      ended = None;
       started = false;
       next_boundary = 0;
       armed = false;
@@ -93,7 +90,7 @@ let create ?telemetry ?audit ?budget_bytes ?(digests = true)
       replayed = 0;
     }
   in
-  Cpu.set_store_hook cpu (fun cpu ~addr ~width ->
+  Cpu.set_replay_hook cpu (fun cpu ~addr ~width ->
       if t.armed then begin
         let last = addr + Insn.width_bytes width in
         let w = ref (addr land lnot 3) in
@@ -123,9 +120,9 @@ let create ?telemetry ?audit ?budget_bytes ?(digests = true)
 
 let cpu t = t.cpu
 let journal t = t.journal
-let end_insn t = t.end_insn
-let exit_code t = t.exit_code
-let recorded t = t.recorded
+let recorded t = t.ended <> None
+let end_stats t = Option.map snd t.ended
+let end_insn t = match t.ended with Some (_, s) -> s.Cpu.instrs | None -> 0
 let replayed_insns t = t.replayed
 let interval t = Journal.interval t.journal
 
@@ -163,8 +160,9 @@ let take_checkpoint t =
    round-robin fairness slicing invisible to every retroactive query
    and to the cross-shard telemetry diffs. *)
 let record_slice ?(fuel = 200_000_000) t =
-  if t.recorded then `Exited (Option.get t.exit_code)
-  else begin
+  match t.ended with
+  | Some (code, _) -> `Exited code
+  | None ->
     if not t.started then begin
       t.started <- true;
       ignore (take_checkpoint t);
@@ -189,14 +187,11 @@ let record_slice ?(fuel = 200_000_000) t =
     match Cpu.halted t.cpu with
     | None -> `Out_of_fuel !executed
     | Some code ->
-      t.end_insn <- Cpu.instr_count t.cpu;
-      t.exit_code <- Some code;
-      t.recorded <- true;
+      t.ended <- Some (code, Cpu.stats t.cpu);
       `Exited code
-  end
 
 let record ?(fuel = 200_000_000) t =
-  if t.recorded then invalid_arg "Replay.record: run already recorded";
+  if recorded t then invalid_arg "Replay.record: run already recorded";
   match record_slice ~fuel t with
   | `Exited code -> code
   | `Out_of_fuel executed ->
@@ -215,14 +210,18 @@ let restore_to t snap ~target =
   Audit.replay t.audit ~kind:Audit.State_restored ~insn:(Snapshot.insn snap)
     ~detail:(Printf.sprintf "target=%d" target)
 
-(* Step to [insn]; if a retained checkpoint exists exactly there, check
-   the digest (the determinism guard). *)
+(* Step to [insn] in the replay epoch; if a retained checkpoint exists
+   exactly there, check the digest (the determinism guard). *)
 let exec_to ?(guard = true) t ~insn =
   let replayed = ref 0 in
-  while Cpu.instr_count t.cpu < insn && Cpu.halted t.cpu = None do
-    Cpu.step t.cpu;
-    incr replayed
-  done;
+  Cpu.set_replaying t.cpu true;
+  Fun.protect
+    ~finally:(fun () -> Cpu.set_replaying t.cpu false)
+    (fun () ->
+      while Cpu.instr_count t.cpu < insn && Cpu.halted t.cpu = None do
+        Cpu.step t.cpu;
+        incr replayed
+      done);
   t.replayed <- t.replayed + !replayed;
   Telemetry.add t.telemetry Telemetry.Replayed_instrs !replayed;
   if Cpu.instr_count t.cpu <> insn then
@@ -246,15 +245,15 @@ let exec_to ?(guard = true) t ~insn =
   !replayed
 
 let replay_from ?guard t snap ~insn =
-  if not t.recorded then invalid_arg "Replay.replay_from: record the run first";
-  if insn < Snapshot.insn snap || insn > t.end_insn then
+  if not (recorded t) then invalid_arg "Replay.replay_from: record the run first";
+  if insn < Snapshot.insn snap || insn > end_insn t then
     invalid_arg "Replay.replay_from: target outside [snapshot, end]";
   restore_to t snap ~target:insn;
   exec_to ?guard t ~insn
 
 let travel ?guard t ~insn =
-  if not t.recorded then invalid_arg "Replay.travel: record the run first";
-  if insn < 0 || insn > t.end_insn then
+  if not (recorded t) then invalid_arg "Replay.travel: record the run first";
+  if insn < 0 || insn > end_insn t then
     invalid_arg "Replay.travel: target outside the recorded run";
   match Journal.nearest t.journal ~insn with
   | None -> invalid_arg "Replay.travel: no checkpoint at or before target"
@@ -285,7 +284,7 @@ let hits t = List.rev t.hits
    hit holds the final write (Transition-Watchpoints search order).
    The machine is left at the recorded end state. *)
 let last_write ?guard t ~lo ~hi =
-  if not t.recorded then invalid_arg "Replay.last_write: record the run first";
+  if not (recorded t) then invalid_arg "Replay.last_write: record the run first";
   let snaps = Array.of_list (Journal.snapshots t.journal) in
   let n = Array.length snaps in
   let result = ref None in
@@ -295,16 +294,12 @@ let last_write ?guard t ~lo ~hi =
     let stop = Snapshot.insn snaps.(!i) in
     restore_to t start ~target:stop;
     arm t ~lo ~hi;
-    let fin () = disarm t in
-    (try ignore (exec_to ?guard t ~insn:stop)
-     with e ->
-       fin ();
-       raise e);
-    fin ();
+    Fun.protect ~finally:(fun () -> disarm t) (fun () ->
+        ignore (exec_to ?guard t ~insn:stop));
     (match t.hits with [] -> () | newest :: _ -> result := Some newest);
     decr i
   done;
-  ignore (travel ?guard t ~insn:t.end_insn);
+  ignore (travel ?guard t ~insn:(end_insn t));
   !result
 
 let last_write_word ?guard t ~addr =
@@ -313,18 +308,15 @@ let last_write_word ?guard t ~addr =
 
 (* Full history: replay the whole run once with the watch armed. *)
 let write_history ?guard t ~lo ~hi =
-  if not t.recorded then
+  if not (recorded t) then
     invalid_arg "Replay.write_history: record the run first";
   match Journal.snapshots t.journal with
   | [] -> []
   | first :: _ ->
-    restore_to t first ~target:t.end_insn;
+    restore_to t first ~target:(end_insn t);
     arm t ~lo ~hi;
-    (try ignore (exec_to ?guard t ~insn:t.end_insn)
-     with e ->
-       disarm t;
-       raise e);
-    disarm t;
+    Fun.protect ~finally:(fun () -> disarm t) (fun () ->
+        ignore (exec_to ?guard t ~insn:(end_insn t)));
     let collected = hits t in
     t.hits <- [];
     collected

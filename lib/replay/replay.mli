@@ -4,9 +4,12 @@
     under a watch (§5's replayed-execution application; the search
     strategy of Arya et al.'s Transition Watchpoints).
 
-    The replay watch is {e host-side} — a store hook observing
-    effective addresses, like the hardware-watchpoint strategy's
-    oracle.  It writes nothing into simulated memory and triggers no
+    Re-execution runs in the machine's replay epoch
+    ({!Machine.Cpu.replaying}), raised only here: no observer or user
+    callback of the live run fires during it.  The replay watch is
+    {e host-side} — the replay epoch's store hook observing effective
+    addresses, like the hardware-watchpoint strategy's oracle.  It
+    writes nothing into simulated memory and triggers no
     trap instruction, so the replayed program's architectural outcome
     is byte-identical with or without a watch armed (Price's
     virtual-breakpoint invisibility property).  The determinism guard
@@ -42,10 +45,10 @@ val create :
   ?checkpoint_every:int ->
   Machine.Cpu.t ->
   t
-(** Attach a replay engine to a machine.  One store hook is installed
-    immediately (disarmed: one flag test per store until a query arms
-    it).  [checkpoint_every] (default 10000) is the journal interval in
-    executed instructions; [budget_bytes] enables exponential-thinning
+(** Attach a replay engine to a machine.  Its watch becomes the
+    machine's replay hook (disarmed: one flag test per replayed store
+    until a query arms it).  [checkpoint_every] (default 10000) is the
+    journal interval in executed instructions; [budget_bytes] enables exponential-thinning
     eviction; [digests:false] skips per-checkpoint digests (cheaper
     recording, no guard).  [telemetry]/[audit] receive checkpoint and
     replay lifecycle counters/events, gated by their own flags
@@ -77,7 +80,9 @@ val recorded : t -> bool
 val end_insn : t -> int
 (** Instruction count at the recorded halt. *)
 
-val exit_code : t -> int option
+val end_stats : t -> Machine.Cpu.stats option
+(** The live run's {!Machine.Cpu.stats}, captured at the recorded halt. *)
+
 val replayed_insns : t -> int
 (** Total instructions re-executed by travels and queries so far. *)
 

@@ -44,7 +44,6 @@ type sess = {
   mutable watches : (string * Debugger.watchpoint) list;
   mutable exited : int option;
   mutable closed : bool;
-  mutable in_query : bool;  (* suppress hit streaming during replay *)
 }
 
 type client = {
@@ -164,19 +163,17 @@ let do_open t sess source strategy_s opt_s =
         in
         let dbg = Debugger.create session in
         Debugger.set_on_event dbg (fun e ->
-            if not sess.in_query then begin
-              Telemetry.incr (hit_sink t sess) Telemetry.Hits_streamed;
-              emit sess
-                (Proto.Hit
-                   {
-                     name = e.Debugger.watch.Debugger.wname;
-                     insn = Machine.Cpu.instr_count session.Session.cpu;
-                     pc = e.Debugger.pc;
-                     addr = e.Debugger.addr;
-                     value = e.Debugger.value;
-                     func = Option.value ~default:"?" e.Debugger.in_function;
-                   })
-            end);
+            Telemetry.incr (hit_sink t sess) Telemetry.Hits_streamed;
+            emit sess
+              (Proto.Hit
+                 {
+                   name = e.Debugger.watch.Debugger.wname;
+                   insn = Machine.Cpu.instr_count session.Session.cpu;
+                   pc = e.Debugger.pc;
+                   addr = e.Debugger.addr;
+                   value = e.Debugger.value;
+                   func = Option.value ~default:"?" e.Debugger.in_function;
+                 }));
         sess.session <- Some session;
         sess.dbg <- Some dbg;
         emit sess
@@ -283,10 +280,7 @@ let resolve sess s target k =
 let recorded_only sess s k =
   if sess.exited = None then
     emit sess (Proto.Error "program still running: run it to completion first")
-  else begin
-    sess.in_query <- true;
-    Fun.protect ~finally:(fun () -> sess.in_query <- false) (fun () -> k s)
-  end
+  else k s
 
 let wtype_name = function
   | Some wt -> Write_type.to_string wt
@@ -463,7 +457,6 @@ let submit t c line =
                 watches = [];
                 exited = None;
                 closed = false;
-                in_query = false;
               }
             in
             Hashtbl.replace t.sessions sid sess;

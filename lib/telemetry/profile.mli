@@ -86,8 +86,8 @@ val exec_count : t -> int -> int
 
 val profiled_instrs : t -> int
 (** Sum of {!exec_count} over all slots — the total number of
-    instructions the profiler observed (equals the machine's retired
-    count unless profiling was paused, e.g. during replay queries). *)
+    instructions the profiler observed (equals the live run's retired
+    count: replayed instructions are never profiled). *)
 
 val taken_array : t -> int array
 (** The per-instruction branch-taken counter array (a branch that

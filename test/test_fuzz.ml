@@ -190,11 +190,130 @@ let prop_fast_path_differential =
       && Machine.Cpu.output fast = Machine.Cpu.output slow
       && memory_dump fast = memory_dump slow)
 
+(* Live/replay epoch: retroactive queries re-execute the recorded run
+   in the machine's replay epoch, where no live observer fires.  A
+   session with every observer attached answers a random sequence of
+   queries and must then report exactly what its query-free twin
+   reports — telemetry (replay cost aside), MRS counters, profile,
+   sample ring, heatmap, debugger events and breakpoint counts. *)
+
+type query = Last_write of string | History of string | Travel of int
+
+let print_query = function
+  | Last_write v -> "last-write " ^ v
+  | History v -> "history " ^ v
+  | Travel permille -> Printf.sprintf "travel %d/1000" permille
+
+let gen_query =
+  let open QCheck.Gen in
+  let var = oneofl [ "g0"; "g1"; "ga" ] in
+  oneof
+    [
+      map (fun v -> Last_write v) var;
+      map (fun v -> History v) var;
+      map (fun p -> Travel p) (int_range 0 1000);
+    ]
+
+let arb_program_queries =
+  QCheck.make
+    ~print:(fun (src, qs) ->
+      src ^ "\nqueries: " ^ String.concat "; " (List.map print_query qs))
+    QCheck.Gen.(pair gen_program (list_size (int_range 1 4) gen_query))
+
+let epoch_configurations =
+  [
+    { Instrument.default_options with opt = Instrument.O_full;
+      check_aliases = true };
+    { Instrument.default_options with strategy = Strategy.Cache;
+      monitor_reads = true };
+    { Instrument.default_options with strategy = Strategy.Hash_table;
+      opt = Instrument.O_symbol };
+  ]
+
+(* Everything a live observer exposes, rendered to strings so one
+   comparison covers it all (the telemetry JSON carries the sample
+   ring); [restores]/[replayed_instrs] are the replay epoch's own
+   counters and the only ones a query may move. *)
+let live_view ~queries options src =
+  let session =
+    Session.create ~options ~checkpoint_every:97 ~profile:true
+      ~sample_every:37 ~heatmap:true src
+  in
+  Session.install_oracle session;
+  let dbg = Debugger.create session in
+  ignore (Debugger.watch dbg "g0");
+  ignore (Debugger.watch dbg "ga");
+  Debugger.break_at dbg "helper" (fun _ _ -> ());
+  ignore (Session.run ~fuel:20_000_000 session);
+  let end_insn = (Session.stats session).Machine.Cpu.instrs in
+  List.iter
+    (fun q ->
+      let addr v = Option.get (Session.resolve_addr session v) in
+      match q with
+      | Last_write v -> ignore (Session.last_write session ~addr:(addr v))
+      | History v ->
+        let lo = addr v in
+        ignore (Session.write_history session ~lo ~hi:(lo + 8))
+      | Travel p ->
+        ignore (Session.time_travel session ~insn:(end_insn * p / 1000)))
+    queries;
+  let rep = Session.report session in
+  let masked =
+    {
+      rep with
+      Telemetry.r_counters =
+        List.filter
+          (fun (name, _) -> name <> "restores" && name <> "replayed_instrs")
+          rep.Telemetry.r_counters;
+    }
+  in
+  let c = Mrs.counters session.Session.mrs in
+  Session.heatmap_sync_regions session;
+  [
+    ("telemetry", Export.to_json_string masked);
+    ( "mrs counters",
+      Printf.sprintf "%d %d %d %d %d %d %d" c.Mrs.user_hits c.Mrs.read_hits
+        c.Mrs.internal_hits c.Mrs.loop_entries c.Mrs.loop_triggers
+        c.Mrs.patches_inserted c.Mrs.violations );
+    ("profile", Profile.to_json_string (Session.profile_report session));
+    ( "heatmap",
+      Heatmap.to_json_string (Option.get session.Session.heatmap) );
+    ( "debugger",
+      Printf.sprintf "events=%d breaks=%d"
+        (List.length (Debugger.events dbg))
+        (Debugger.break_count dbg "helper") );
+  ]
+
+let prop_queries_invisible_to_live_observers =
+  QCheck.Test.make
+    ~name:"random programs + queries: live observers match a query-free twin"
+    ~count:20 arb_program_queries (fun (src, queries) ->
+      List.for_all
+        (fun options ->
+          let twin = live_view ~queries:[] options src in
+          let queried = live_view ~queries options src in
+          List.for_all2
+            (fun (what, a) (_, b) ->
+              a = b
+              ||
+              let n = min (String.length a) (String.length b) in
+              let i = ref 0 in
+              while !i < n && a.[!i] = b.[!i] do incr i done;
+              let around s =
+                let lo = max 0 (!i - 60) in
+                String.sub s lo (min 120 (String.length s - lo))
+              in
+              QCheck.Test.fail_reportf "%s differs at byte %d:\n%s\nvs\n%s"
+                what !i (around a) (around b))
+            twin queried)
+        epoch_configurations)
+
 let suites =
   [
     ( "dbp.fuzz",
       [
         QCheck_alcotest.to_alcotest prop_semantics_and_soundness;
         QCheck_alcotest.to_alcotest prop_fast_path_differential;
+        QCheck_alcotest.to_alcotest prop_queries_invisible_to_live_observers;
       ] );
   ]

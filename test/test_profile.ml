@@ -245,17 +245,6 @@ let test_profile_report_requires_profile () =
     | exception Invalid_argument _ -> true
     | _ -> false)
 
-let test_enable_uninstalled_rejected () =
-  let linked = Minic.Compile.compile_and_link "int main() { return 0; }" in
-  let cpu = Machine.Cpu.create linked.Minic.Compile.image in
-  check_bool "set_enabled without install rejected" true
-    (match Machine.Cpu.profile_set_enabled cpu true with
-    | exception Invalid_argument _ -> true
-    | _ -> false);
-  (* Disabling when nothing is installed is a harmless no-op. *)
-  Machine.Cpu.profile_set_enabled cpu false;
-  check_bool "not enabled" false (Machine.Cpu.profile_enabled cpu)
-
 (* --- Chrome-trace edge cases -------------------------------------------------------- *)
 
 let span_events json =
@@ -421,8 +410,6 @@ let suites =
         Alcotest.test_case "merge_folded" `Quick test_merge_folded;
         Alcotest.test_case "profile_report requires ~profile" `Quick
           test_profile_report_requires_profile;
-        Alcotest.test_case "enable without install rejected" `Quick
-          test_enable_uninstalled_rejected;
       ] );
     ( "profile.chrome",
       [

@@ -238,12 +238,15 @@ let test_determinism_li () =
   check_all_windows session r ~watch:true
 
 let test_guard_fires_on_divergence () =
-  (* A saboteur store hook perturbs simulated memory during replay
-     only: the digest at the target checkpoint can no longer match. *)
+  (* A saboteur replay hook perturbs simulated memory — and runs in the
+     replay epoch only: the digest at the target checkpoint can no
+     longer match. *)
   let session, r = record_session ~interval:10_000 (workload "030.matrix300") in
   let cpu = session.Session.cpu in
   let sabotage = ref false in
-  Machine.Cpu.set_store_hook cpu (fun cpu ~addr:_ ~width:_ ->
+  Machine.Cpu.set_replay_hook cpu (fun cpu ~addr:_ ~width:_ ->
+      check_bool "saboteur runs only while replaying" true
+        (Machine.Cpu.replaying cpu);
       if !sabotage then
         Machine.Memory.write_word (Machine.Cpu.mem cpu) 0xF0_0000 0xDEAD);
   let snaps = Array.of_list (Journal.snapshots (Replay.journal r)) in
@@ -431,6 +434,43 @@ let test_replay_observability () =
     (List.length rep.Audit.a_replay)
     (List.length rep2.Audit.a_replay)
 
+(* The live report describes the recorded run, not wherever a travel
+   left the machine: after travelling to mid-run, stats and report equal
+   the query-free session's, replay cost ([restores]/[replayed_instrs])
+   aside. *)
+let test_report_after_travel_is_live () =
+  let src =
+    "int counter; int bump() { counter = counter + 1; return counter; } \
+     int main() { int i; for (i = 0; i < 200; i = i + 1) { bump(); } \
+     return counter; }"
+  in
+  let live_view ~travel =
+    let session = Session.create ~checkpoint_every:500 src in
+    ignore (Debugger.watch (Debugger.create session) "counter");
+    ignore (Session.run session);
+    let end_insn = (Session.stats session).Machine.Cpu.instrs in
+    if travel then begin
+      ignore (Session.time_travel session ~insn:(end_insn / 2));
+      check_int "the machine travelled" (end_insn / 2)
+        (Machine.Cpu.instr_count session.Session.cpu)
+    end;
+    let rep = Session.report session in
+    let counters =
+      List.filter
+        (fun (name, _) -> name <> "restores" && name <> "replayed_instrs")
+        rep.Telemetry.r_counters
+    in
+    ( Session.stats session,
+      Export.to_json_string { rep with Telemetry.r_counters = counters },
+      List.assoc "store_execs" counters )
+  in
+  let stats0, rep0, stores0 = live_view ~travel:false in
+  let stats1, rep1, stores1 = live_view ~travel:true in
+  check_bool "stats are the run's" true (stats0 = stats1);
+  check_int "store_execs is the run's" stats0.Machine.Cpu.stores stores1;
+  check_int "store_execs unchanged" stores0 stores1;
+  Alcotest.(check string) "report equals the query-free report" rep0 rep1
+
 let suites =
   [
     ( "replay.snapshot",
@@ -470,5 +510,7 @@ let suites =
         Alcotest.test_case "resolve_addr forms" `Quick test_resolve_addr_forms;
         Alcotest.test_case "telemetry + audit plumbing" `Quick
           test_replay_observability;
+        Alcotest.test_case "report after travel is the live run's" `Quick
+          test_report_after_travel_is_live;
       ] );
   ]

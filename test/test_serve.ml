@@ -277,7 +277,7 @@ let script sid =
 
 (* Run the same three-session workload on an engine with [shards]
    domains (tiny slice so [run] needs many quanta) and return each
-   session's reply stream plus the merged telemetry JSON. *)
+   session's reply stream plus the merged telemetry report. *)
 let run_engine shards =
   let t = Daemon.create ~shards ~slice:700 () in
   Fun.protect
@@ -302,7 +302,7 @@ let run_engine shards =
       in
       let streams = List.map (fun sid -> stream_of sid) ("-" :: sids) in
       check_int "all sessions closed" 0 (Daemon.sessions_open t);
-      (streams, Export.to_json_string (Daemon.merged_report t)))
+      (streams, Daemon.merged_report t))
 
 let test_engine_transcripts () =
   let streams, _ = run_engine 1 in
@@ -361,7 +361,34 @@ let test_engine_shard_determinism () =
     (fun i (a, b) ->
       check_string (Printf.sprintf "stream %d identical across shards" i) a b)
     (List.combine s1 s3);
-  check_string "merged telemetry identical across shards" t1 t3
+  check_string "merged telemetry identical across shards"
+    (Export.to_json_string t1) (Export.to_json_string t3)
+
+let test_engine_queries_leave_live_counters () =
+  (* Each scripted session runs, then answers last-write, history and
+     travel by replay.  Replays fire no callback and count nothing live,
+     so every MRS hit was streamed exactly once and the check
+     executions are those of a query-free run. *)
+  let open Dbp in
+  let _, rep = run_engine 1 in
+  let counter name = List.assoc name rep.Telemetry.r_counters in
+  let session =
+    Session.create
+      ~options:
+        { Instrument.default_options with
+          strategy = Strategy.Bitmap_inline_registers }
+      ~checkpoint_every:10_000 program
+  in
+  ignore (Debugger.watch (Debugger.create session) "counter");
+  ignore (Session.run session);
+  let alone =
+    List.assoc "check_execs" (Session.report session).Telemetry.r_counters
+  in
+  check_bool "hits were streamed" true (counter "hits_streamed" > 0);
+  check_int "user_hits = hits_streamed" (counter "hits_streamed")
+    (counter "user_hits");
+  check_int "check_execs of three query-free runs" (3 * alone)
+    (counter "check_execs")
 
 let test_engine_errors_and_gauges () =
   let t = Daemon.create ~shards:2 () in
@@ -526,6 +553,8 @@ let suites =
           test_engine_transcripts;
         Alcotest.test_case "transcripts and telemetry shard-invariant" `Slow
           test_engine_shard_determinism;
+        Alcotest.test_case "queries leave live counters alone" `Slow
+          test_engine_queries_leave_live_counters;
         Alcotest.test_case "errors, gauges, disconnect" `Quick
           test_engine_errors_and_gauges;
       ] );

@@ -2,7 +2,7 @@ open Dbp
 
 (* Tests for the time-series telemetry subsystem: sample-ring
    conservation against the end-of-run registry, sampler/heatmap
-   pause around replay queries, the zero-added-work contract when
+   silence during replay queries, the zero-added-work contract when
    sampling is off, the v5 report round-trip and the sample-ring merge
    invariant (concatenate, then sort), windowed rate summaries, the
    address-space heatmap's page accounting and renders, the Prometheus
@@ -127,10 +127,11 @@ let test_conservation () =
 
 (* --- replay queries leave the series alone ----------------------------------- *)
 
-(* A retroactive query rolls the machine back and re-executes; the
-   sampler and heatmap pause, so the sample ring and page counts are
-   byte-identical before and after — and the monotonic [store_execs]
-   gauge keeps conserving against the heatmap. *)
+(* A retroactive query rolls the machine back and re-executes in the
+   replay epoch, where neither the sampler nor the heatmap runs: the
+   sample ring and page counts are byte-identical before and after, and
+   [store_execs] (the live run's) keeps conserving against the
+   heatmap. *)
 let test_replay_pauses_observers () =
   let session = run_sampled ~checkpoint_every:2_000 loop_src in
   let rep1 = Session.report session in
